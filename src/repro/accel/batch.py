@@ -1,6 +1,6 @@
 """Batched execution: advance a block of fabric iterations as numpy vectors.
 
-The scalar compiled loop (:meth:`DataflowEngine._drive_compiled`) walks every
+The interpreter (:meth:`DataflowEngine._drive_interpreted`) walks every
 node of every iteration in Python.  For most kernels the dynamic behaviour
 per iteration is tiny — values change, but routing, latencies, guards, and
 the schedule are frozen in the :class:`~repro.accel.plan.ExecutionPlan` — so
@@ -26,21 +26,21 @@ few provable properties of the model:
   grant plus the edge latency (>= 1 cycle), which is exactly when the
   channel frees — so per-iteration request chains are independent and
   vectorize.  A row with one NoC slot provably never waits; a row with
-  several fires them in the scalar loop's request order (node id, src1
+  several fires them in the interpreter's request order (node id, src1
   before src2), and the grant of slot ``j`` is ``max(depart_j,
   grant_{j-1} + 1)``.  Because the issue-interval bump distributes over
   the max-plus source decomposition, the whole chain is carried as
   per-source weight matrices (phase T) and reproduces the event-order
   departures bit-exactly.  Only a *fallback* slot on a contended row —
   whose firing depends on runtime guard values — has no static order and
-  falls back to the scalar loop.
+  falls back to the interpreter.
 * **Guarded nodes mix, guarded memory masks.**  A predicated-off lane
   takes its fallback value (``np.where``) and the fallback transfer's
   timing; an off *memory* lane additionally skips the port request, the
   cache access, and the store commit — a mask-aware ``Memory.gather``
   reads only live lanes, and the block alias check ignores dead ones, so
   guard-false lanes charge neither port occupancy nor AMAT, exactly like
-  the scalar loop's suppressed accesses.
+  the interpreter's suppressed accesses.
 * **Coupled recurrences run as an exact microloop.**  Loop-carried
   strongly connected components with no closed scan form (mutually
   recursive producers, guarded self-loops, non-linear updates) are
@@ -51,7 +51,7 @@ few provable properties of the model:
 * **The LSQ is inert** when no store in a block byte-overlaps a
   same-or-later-iteration load.  A vectorized alias check proves that per
   block from the concrete addresses; a violating block *bails* untouched and
-  the engine finishes the run on the scalar loop (state is continuous:
+  the engine finishes the run on the interpreter (state is continuous:
   nothing is mutated before the check passes).
 * **Timing is max-plus linear.**  Completion times decompose over the
   sources {iteration start} ∪ {memory completions}: per node a static
@@ -69,7 +69,6 @@ just "it got slower".
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass
 
 try:
@@ -90,13 +89,10 @@ from .plan import (
 )
 
 __all__ = ["BatchCapability", "BatchProgram", "compile_batch",
-           "drive_batched", "DEFAULT_BLOCK", "BLOCK_ENV"]
+           "drive_batched", "DEFAULT_BLOCK", "MAX_BLOCK"]
 
 #: Default iterations per batched block.
 DEFAULT_BLOCK = 256
-#: Environment override for the block size (``ExecutionOptions.batch_block``
-#: wins when nonzero).
-BLOCK_ENV = "REPRO_BATCH_BLOCK"
 #: Hard ceiling keeping closed-form index arithmetic within int64.
 MAX_BLOCK = 1 << 20
 
@@ -194,7 +190,7 @@ def _compile_compute(instr, evaluate):
     # FCVT_W_S / FCVT_WU_S truncate (and raise on NaN) via Python int();
     # the RV64 W-forms and MULH/DIV/REM families have no exact vector
     # counterpart here; raiser nodes (system ops) must fault like the
-    # interpreter.  All fall back to the scalar loop.
+    # interpreter.  All fall back to the interpreter.
     return None
 
 
@@ -450,7 +446,7 @@ def _compile(plan):
 
     for rec in nodes:
         rec.np_dtype = np.float32 if rec.dtype == D_FP else np.int64
-        # Guards at or after their node never fire (the scalar loop reads
+        # Guards at or after their node never fire (the interpreter reads
         # the iteration's still-False branch state) — the plan hoists that
         # rule into ``effective_guard``.
         rec.guard = rec.plan_node.effective_guard
@@ -467,7 +463,7 @@ def _compile(plan):
             ops.append(pnode.fallback)
         for op in ops:
             if op.kind == K_NODE and op.src_id >= rec.i:
-                # The scalar loops only ever read completed same-iteration
+                # The interpreter only ever reads completed same-iteration
                 # producers; a forward edge has no defined value.
                 return "forward same-iteration edge"
             if op.kind in (K_NODE, K_LOOP):
@@ -609,7 +605,7 @@ def _compile(plan):
 
     # Pass 5: rows whose ring channel carries more than one firing NoC
     # slot serialize through the closed-form grant chain, which replays
-    # the scalar loop's static request order (node id, src1 before src2).
+    # the interpreter's static request order (node id, src1 before src2).
     # A *fallback* slot fires only on predicated-off iterations — its
     # position in the chain is data-dependent, so such rows fall back.
     # (Inert-guard fallback edges never fire and are ignored entirely.)
@@ -726,26 +722,14 @@ def _make_cluster(comp, nodes):
 
 # -- block driver --------------------------------------------------------------
 
-def resolve_block(options) -> int:
-    """Iterations per block: option knob, then env, then the default."""
-    block = options.batch_block
-    if not block:
-        try:
-            block = int(os.environ.get(BLOCK_ENV) or 0)
-        except ValueError:
-            block = 0
-    if not block:
-        block = DEFAULT_BLOCK
-    return max(1, min(block, MAX_BLOCK))
-
-
 def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, ports,
                   latency, activity, options):
     """Drive the loop in vectorized blocks.
 
     Returns ``(iterations, iteration_latencies, bail)`` — ``bail`` is None
-    on completion, else ``(clock, prev_values, reason)`` for the scalar
-    loop to resume from (no state of the bailed block has been committed).
+    on completion, else ``(clock, prev_values, reason)`` for the
+    interpreter to resume from (no state of the bailed block has been
+    committed; ``prev_values`` is None when the first block bailed).
     """
     plan = bp.plan
     nodes = bp.nodes
@@ -756,7 +740,7 @@ def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, ports,
     mem_source = {i: j + 1 for j, i in enumerate(mem_ids)}
     loop_id = plan.loop_branch_id
     const1, const2, const_fb = plan.bind_constants(reg_env)
-    block = resolve_block(options)
+    block = options.batch_block or DEFAULT_BLOCK
     max_iterations = options.max_iterations
     speculative = options.speculative_loads
     store_issue = plan.store_issue
@@ -875,7 +859,7 @@ def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, ports,
             if 0 <= node_id < n:
                 state.write(register, prev[node_id])
 
-    # Fold the accumulators (additive, like the scalar loop's bulk fold).
+    # Fold the accumulators (additive, so an interpreter tail can follow).
     edge_total: dict = {}
     edge_count: dict = {}
     for edge in plan.edge_slots:
@@ -1059,8 +1043,8 @@ def _run_cluster(cluster, nodes, nb, first, prev, const1, const2, const_fb,
     """Evaluate a coupled-recurrence cluster lane by lane.
 
     Members run in ascending node-id order per lane using the plan's
-    scalar evaluator closures, which is bit-identical to the scalar drive
-    loop: int64/float32 lanes round-trip through Python scalars exactly,
+    scalar evaluator closures, which is bit-identical to the interpreter:
+    int64/float32 lanes round-trip through Python scalars exactly,
     and the closures apply the same int()/float() conversions.  External
     producers (node or loop-carried) are already vectorized; internal
     loop-carried reads hit the previous lane's column.
@@ -1161,9 +1145,9 @@ def _phase_timing(bp, nb, first, offs):
     distributes over the source decomposition, so concrete grants are
     exactly ``max_s(T[s] + G[s])``.  Channel state never carries between
     iterations (the next start is at least the last grant + 1), so lanes
-    are independent.  Nodes are walked in node-id order — the scalar
-    loop's request order — which pass 2's forward-edge check makes a valid
-    topological order.
+    are independent.  Nodes are walked in node-id order — the
+    interpreter's request order — which pass 2's forward-edge check makes
+    a valid topological order.
     """
     nodes = bp.nodes
     n = len(nodes)

@@ -79,7 +79,7 @@ def test_kernel_verdict_frozen(name):
         assert result.drive_path == "batched", result.drive_reason
     else:
         assert result.accelerated
-        assert result.drive_path == "compiled"
+        assert result.drive_path == "interpreted"
         assert result.drive_reason == expected
 
 
@@ -280,7 +280,7 @@ def test_noc_contention_accepted_with_closed_form():
 
 
 def test_noc_closed_form_bit_identical():
-    # The grant chain must replay the scalar loop's ring arbitration
+    # The grant chain must replay the interpreter's ring arbitration
     # exactly — departures, per-edge latencies, and the NoC wait counter.
     from repro.accel import ExecutionOptions
     from repro.isa import MachineState
@@ -297,8 +297,7 @@ def test_noc_closed_form_bit_identical():
         return state
 
     program = noc_program()
-    batched = DataflowEngine(program).run(
-        make(), ExecutionOptions(batch=True))
+    batched = DataflowEngine(program).run(make(), ExecutionOptions())
     interpreted = DataflowEngine(program, compiled=False).run(
         make(), ExecutionOptions())
     assert batched.drive_path == "batched"

@@ -5,10 +5,10 @@ fabric iterations as numpy vectors.  Its contract is the same as the
 execution plan's: **bit-identical** results to the interpreter on every
 program its capability analysis accepts — cycles, counters, per-node and
 per-edge latencies, registers (by IEEE bit pattern) and memory (byte for
-byte).  These tests hold it to that contract through the full controller
-pipeline, through direct engine runs over hand-built programs that hit the
-tricky corners (block boundaries, loop-carried reductions, predication,
-NaN payloads, mid-run aliasing bails), and across block sizes.
+byte).  These tests hold it to that contract on the controller pipeline's
+configured programs, through direct engine runs over hand-built programs
+that hit the tricky corners (block boundaries, loop-carried reductions,
+predication, NaN payloads, mid-run aliasing bails), and across block sizes.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from repro.accel import (
     Operand,
 )
 from repro.accel import M_128
-from repro.accel.batch import BLOCK_ENV, DEFAULT_BLOCK, MAX_BLOCK, resolve_block
-from repro.core import MesaController, MesaOptions
+from repro.accel.batch import MAX_BLOCK
+from repro.core import MesaController
 from repro.isa import Instruction, MachineState, Opcode, f, x
 from repro.mem import Memory
 from repro.workloads import build_kernel
@@ -36,7 +36,6 @@ from repro.workloads import build_kernel
 from .test_plan_equivalence import (
     KERNELS,
     MODES,
-    result_fingerprint,
     run_fingerprint,
 )
 
@@ -48,37 +47,52 @@ LOAD_BASE = 0x100
 FP_OFFSET = 0x200
 
 
-def execute_kernel(name: str, config, options, batched) -> tuple:
-    """One kernel through the full pipeline with the drive path pinned."""
-    base = options if options is not None else MesaOptions()
+def execute_kernel(name: str, config, options=None):
+    """One kernel through the full pipeline on the default drive path."""
     kernel = build_kernel(name, iterations=96, seed=1)
-    controller = MesaController(
-        config, options=dataclasses.replace(base, batched=batched))
+    controller = MesaController(config, options=options)
     result = controller.execute(kernel.program, kernel.state_factory,
                                 parallelizable=kernel.parallelizable)
-    return result_fingerprint(result), result
+    return kernel, controller, result
 
 
 class TestPipelineEquivalence:
     @pytest.mark.parametrize("name", KERNELS)
     @pytest.mark.parametrize("mode", sorted(MODES))
     def test_batched_vs_scalar_bit_identical(self, name, mode):
-        options = MODES[mode]
-        batched, _ = execute_kernel(name, M_128, options, True)
-        scalar, _ = execute_kernel(name, M_128, options, False)
-        assert batched == scalar
+        # The pipeline's configured program, driven from the loop-entry
+        # state on the default path (batched where the plan qualifies)
+        # and on the pinned interpreter.
+        kernel, controller, result = execute_kernel(name, M_128, MODES[mode])
+        assert result.accelerated
+        run_options = result.loop_plan.to_execution_options(
+            speculative_loads=controller.options.speculative_loads)
+
+        def entry_state():
+            return controller._state_at_loop_entry(
+                kernel.program, result.decision, kernel.state_factory(),
+                4_000_000)
+
+        runs = [
+            DataflowEngine(result.accel_program,
+                           interconnect=controller.interconnect,
+                           compiled=compiled).run(entry_state(), run_options)
+            for compiled in (True, False)
+        ]
+        assert runs[1].drive_path == "interpreted"
+        assert run_fingerprint(runs[0]) == run_fingerprint(runs[1])
 
     def test_fallback_reason_is_reported(self):
         # bfs computes a store address from a loaded value: the LSQ would
         # have to disambiguate inside the block, so the capability
-        # analysis must route it to the scalar loop — visibly.
-        _, result = execute_kernel("bfs", M_128, None, True)
+        # analysis must route it to the interpreter — visibly.
+        _, _, result = execute_kernel("bfs", M_128)
         assert result.accelerated
-        assert result.drive_path == "compiled"
+        assert result.drive_path == "interpreted"
         assert result.drive_reason == "load-dependent store addressing"
 
     def test_batchable_kernel_reports_batched(self):
-        _, result = execute_kernel("hotspot", M_128, None, None)
+        _, _, result = execute_kernel("hotspot", M_128)
         assert result.accelerated
         assert result.drive_path == "batched"
         assert result.drive_reason == ""
@@ -87,7 +101,7 @@ class TestPipelineEquivalence:
         # kmeans fans one producer out across a row — two NoC slots on
         # one ring channel, formerly a fallback, now reproduced by the
         # closed-form grant chain.
-        _, result = execute_kernel("kmeans", M_128, None, None)
+        _, _, result = execute_kernel("kmeans", M_128)
         assert result.accelerated
         assert result.drive_path == "batched"
         assert result.drive_reason == ""
@@ -190,107 +204,79 @@ def run_direct(program, state, **option_overrides):
     return DataflowEngine(program).run(state, options)
 
 
-def three_way(program, make, **overrides):
-    """(batched, scalar, interpreted) runs of one program/state recipe."""
-    batched = run_direct(program, make(), batch=True, **overrides)
-    scalar = run_direct(program, make(), batch=False, **overrides)
+def two_way(program, make, **overrides):
+    """(default-path, interpreted) runs of one program/state recipe."""
+    batched = run_direct(program, make(), **overrides)
     interpreted = DataflowEngine(program, compiled=False).run(
         make(), ExecutionOptions(**overrides))
-    return batched, scalar, interpreted
+    assert interpreted.drive_path == "interpreted"
+    return batched, interpreted
 
 
 class TestDirectEngineEquivalence:
     def test_disjoint_store_is_batchable_and_bit_identical(self):
         program = loop_program()
-        batched, scalar, interpreted = three_way(program, make_state)
+        batched, interpreted = two_way(program, make_state)
         assert batched.drive_path == "batched"
         assert batched.drive_reason == ""
         assert run_fingerprint(batched) == run_fingerprint(interpreted)
-        assert run_fingerprint(scalar) == run_fingerprint(interpreted)
 
     @pytest.mark.parametrize("block", (1, 3, 7, 64, 4096))
     def test_block_boundaries_bit_identical(self, block):
         program = loop_program()
         reference = DataflowEngine(program, compiled=False).run(
             make_state(), ExecutionOptions())
-        run = run_direct(program, make_state(), batch=True,
-                         batch_block=block)
+        run = run_direct(program, make_state(), batch_block=block)
         assert run.drive_path == "batched"
-        assert run_fingerprint(run) == run_fingerprint(reference)
-
-    def test_env_block_override(self, monkeypatch):
-        monkeypatch.setenv(BLOCK_ENV, "5")
-        assert resolve_block(ExecutionOptions()) == 5
-        # The option knob wins over the environment.
-        assert resolve_block(ExecutionOptions(batch_block=9)) == 9
-        monkeypatch.setenv(BLOCK_ENV, "not-a-number")
-        assert resolve_block(ExecutionOptions()) == DEFAULT_BLOCK
-        monkeypatch.delenv(BLOCK_ENV)
-        assert resolve_block(ExecutionOptions()) == DEFAULT_BLOCK
-        assert resolve_block(
-            ExecutionOptions(batch_block=MAX_BLOCK * 4)) == MAX_BLOCK
-        program = loop_program()
-        monkeypatch.setenv(BLOCK_ENV, "3")
-        run = run_direct(program, make_state(), batch=True)
-        reference = DataflowEngine(program, compiled=False).run(
-            make_state(), ExecutionOptions())
         assert run_fingerprint(run) == run_fingerprint(reference)
 
     def test_mid_run_alias_bails_to_scalar_bit_identical(self):
         # The store writes a fixed address the walking load reaches at
         # iteration 10 — inside the *second* block of 8, so the batched
-        # path must bail mid-run and hand the scalar loop a live state.
+        # path must bail mid-run and hand the interpreter a live state.
         program = loop_program(store_offset=0, store_base_register=True)
         target = LOAD_BASE + 4 * 11
 
         def make():
             return make_state(iterations=30, store_target=target)
 
-        batched, scalar, interpreted = three_way(program, make,
-                                                 batch_block=8)
-        assert batched.drive_path == "batched+compiled"
+        batched, interpreted = two_way(program, make, batch_block=8)
+        assert batched.drive_path == "batched+interpreted"
         assert "memory aliasing at iteration 8" in batched.drive_reason
         assert batched.iterations == 30
         assert run_fingerprint(batched) == run_fingerprint(interpreted)
-        assert run_fingerprint(scalar) == run_fingerprint(interpreted)
 
     def test_first_block_alias_falls_back_whole_run(self):
         # Store at base+4: iteration k writes the address iteration k+1
         # loads, so the very first block trips the alias check and the
-        # whole run executes on the scalar loop.
+        # whole run executes on the interpreter.
         program = loop_program(store_offset=4)
-        batched, scalar, interpreted = three_way(program, make_state)
-        assert batched.drive_path == "compiled"
+        batched, interpreted = two_way(program, make_state)
+        assert batched.drive_path == "interpreted"
         assert "memory aliasing" in batched.drive_reason
         assert run_fingerprint(batched) == run_fingerprint(interpreted)
-        assert run_fingerprint(scalar) == run_fingerprint(interpreted)
 
     def test_max_iterations_cut_bit_identical(self):
         program = loop_program()
-        batched, scalar, interpreted = three_way(program, make_state,
-                                                 max_iterations=13)
+        batched, interpreted = two_way(program, make_state,
+                                       max_iterations=13)
         assert batched.iterations == 13
         assert batched.drive_path == "batched"
         assert run_fingerprint(batched) == run_fingerprint(interpreted)
-        assert run_fingerprint(scalar) == run_fingerprint(interpreted)
 
     def test_single_iteration_loop(self):
         program = loop_program()
-        batched, scalar, interpreted = three_way(
+        batched, interpreted = two_way(
             program, lambda: make_state(iterations=1))
         assert batched.iterations == 1
         assert run_fingerprint(batched) == run_fingerprint(interpreted)
-        assert run_fingerprint(scalar) == run_fingerprint(interpreted)
-
-    def test_batch_disabled_pins_scalar_loop(self):
-        program = loop_program()
-        run = run_direct(program, make_state(), batch=False)
-        assert run.drive_path == "compiled"
-        assert run.drive_reason == ""
 
     def test_options_validation(self):
         with pytest.raises(ValueError):
             ExecutionOptions(batch_block=-1)
+        with pytest.raises(ValueError):
+            ExecutionOptions(batch_block=MAX_BLOCK + 1)
+        ExecutionOptions(batch_block=MAX_BLOCK)
 
 
 def edit_node(program, node_id, **changes):
@@ -306,10 +292,9 @@ class TestNewFamilyEquivalence:
     """
 
     def assert_batched_identical(self, program, make=make_state, **overrides):
-        batched, scalar, interpreted = three_way(program, make, **overrides)
+        batched, interpreted = two_way(program, make, **overrides)
         assert batched.drive_path == "batched", batched.drive_reason
         assert run_fingerprint(batched) == run_fingerprint(interpreted)
-        assert run_fingerprint(scalar) == run_fingerprint(interpreted)
         return batched
 
     def test_guarded_store_bit_identical(self):

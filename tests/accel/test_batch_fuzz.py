@@ -6,7 +6,7 @@ walking address (stores may alias later loads, exercising the mid-run bail
 path), optional predication with loop-carried fallbacks, and random live-in
 register values including NaN and infinity payloads.  The property under
 test is the batched path's whole contract in one line: **whatever the
-capability analysis decides**, a batched-requested run is bit-identical to
+capability analysis decides**, a default-path run is bit-identical to
 the interpreter — cycles, counters, registers, and memory.
 
 This seeds the ROADMAP's random-kernel fuzzing item.
@@ -224,7 +224,7 @@ def test_batched_request_bit_identical_to_interpreter(drawn):
     program, reg_values, mem_words, iterations = drawn
     batched = DataflowEngine(program).run(
         build_state(reg_values, mem_words, iterations),
-        ExecutionOptions(batch=True, batch_block=8))
+        ExecutionOptions(batch_block=8))
     reference = DataflowEngine(program, compiled=False).run(
         build_state(reg_values, mem_words, iterations),
         ExecutionOptions())

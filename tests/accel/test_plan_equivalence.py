@@ -1,9 +1,11 @@
-"""Golden equivalence: the plan-compiled engine vs the interpreter.
+"""Golden equivalence: the default engine path vs the pinned interpreter.
 
 The execution plan (:mod:`repro.accel.plan`) is a pure compilation of
 mapping-frozen facts — it must not change a single observable.  These tests
-drive both engine paths through the real controller pipeline and through
-direct engine runs, and require **bit-identical** results: cycle counts,
+drive the default engine (batched where the plan qualifies, interpreted
+otherwise) and the ``compiled=False`` interpreter through the real
+controller pipeline and through direct engine runs, and require
+**bit-identical** results: cycle counts,
 iteration latency, every activity counter, the per-node/per-edge latency
 counters, and the final architectural state (registers compared by IEEE bit
 pattern, so NaN payloads count; memory compared byte for byte).
