@@ -1,4 +1,4 @@
-"""Process-parallel shard runner for sweeps and experiments.
+"""Supervised worker processes, and the shard runner built on them.
 
 The paper's evaluation is an embarrassingly parallel grid — kernels ×
 backend configs × PE-scaling points — but a single Python process caps the
@@ -10,30 +10,29 @@ executes them on a **persistent pool of warm workers**, merging the results
 completion order, so any table or JSON built from them is byte-identical to
 a serial run.
 
-The pool is not a ``ProcessPoolExecutor``.  Each worker process is owned
-directly and served one shard at a time over its own pipe, which buys three
-serving-grade properties the shared-queue executor cannot give:
+:class:`WorkerPool` is the repo's one process supervisor; the offload
+service's process backend runs on it too.  Each worker is owned directly
+(not a ``ProcessPoolExecutor``) and served one task at a time over its own
+pipe, which buys:
 
-* **warm boot** — every worker runs an ``initializer`` before accepting
-  work (pre-import the simulator stack, pre-build per-config controllers)
-  and signals readiness over the pipe; a worker survives across shards and
-  across retry rounds, so per-process caches stay resident;
-* **deadline watchdog** — a shard's wall-clock budget (``shard_timeout``,
-  or the per-shard :attr:`Shard.timeout` override) is measured from the
-  moment the shard is handed to an idle worker, i.e. from actual execution
-  start.  A shard queued behind a slow one gets its *full* budget.  On
-  expiry only the wedged worker is killed and replaced; every other
-  in-flight shard keeps running — the pool is repaired, never rebuilt;
-* **exact crash blame** — the parent knows which worker holds which shard,
-  so a dying worker process degrades *its* shard only.  Innocent shards
-  are unaffected (no ``BrokenProcessPool`` fan-out, no refund bookkeeping).
+* **warm boot** — an ``initializer`` runs in every worker before its ready
+  handshake, then an optional ``on_boot`` payload (the service's cache
+  seed); workers are all spawned before any handshake is awaited, and
+  persist across tasks, so per-process caches stay resident;
+* **deadline watchdog** — a task's budget runs from dispatch to an idle
+  worker, not from queueing; on expiry only the wedged worker is killed and
+  replaced in place — the pool is repaired, never rebuilt;
+* **exact crash blame** — a dying worker fails *its* task only
+  (:class:`WorkerCrash`), with no ``BrokenProcessPool`` fan-out;
+* **pickling containment** — a payload or result that does not pickle is
+  the task's error (:class:`WorkerTaskError`); the worker stays alive;
+* **boot-failure cap** — :data:`MAX_BOOT_FAILURES` consecutive warm-up
+  deaths raise :class:`PoolBroken` ("failed to boot").
 
-Each shard gets robustness semantics that transfer to any serving stack:
-a wall-clock deadline, ``retries`` bounded re-execution after a crash,
-timeout, or worker exception, and **graceful degradation** — a shard that
-exhausts its retries becomes a failed :class:`ShardOutcome` carrying the
-error string, and the caller renders it as a degraded row instead of
-aborting the whole sweep.
+The shard runner adds per-shard ``retries`` after a crash, timeout, or
+worker exception, and **graceful degradation**: a shard that exhausts its
+retries becomes a failed :class:`ShardOutcome` carrying the error string,
+rendered as a degraded row instead of aborting the whole sweep.
 
 ``workers=1`` runs every shard inline in the calling process — no pool, no
 pickling — preserving the exact pre-existing serial behaviour (and letting
@@ -46,12 +45,16 @@ isolation.
 Worker processes use the ``fork`` start method where the platform provides
 it (the child inherits every imported module, making warm boot nearly
 free) and fall back to ``spawn``; override with ``REPRO_MP_START_METHOD``.
+The initial boot forks before any dispatching thread exists, but a
+replacement is forked by the thread whose task killed its predecessor, i.e.
+from a multi-threaded parent (see docs/modeling.md, "Fork vs spawn").
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 import time
 import traceback
 from collections import deque
@@ -60,7 +63,9 @@ from multiprocessing.connection import wait as _wait_on
 from typing import Any, Callable, Sequence
 
 __all__ = ["Shard", "ShardOutcome", "ShardRunner", "run_sharded",
-           "describe_error", "pool_start_method", "warm_boot_imports"]
+           "describe_error", "pool_start_method", "warm_boot_imports",
+           "WorkerPool", "WorkerCrash", "WorkerTimeout", "WorkerTaskError",
+           "PoolBroken", "MAX_BOOT_FAILURES"]
 
 
 def pool_start_method() -> str:
@@ -125,6 +130,28 @@ class ShardOutcome:
         return self.error is not None
 
 
+class WorkerCrash(RuntimeError):
+    """The worker process died mid-task; it has been replaced."""
+
+
+class WorkerTimeout(RuntimeError):
+    """The task blew its deadline; the worker was killed and replaced."""
+
+
+class WorkerTaskError(RuntimeError):
+    """The task raised inside the worker, or its payload or result did not
+    pickle; the worker itself is healthy."""
+
+
+class PoolBroken(RuntimeError):
+    """The pool failed to boot, is closed, or has no live workers left."""
+
+
+#: Consecutive worker deaths during warm-up tolerated before giving up; a
+#: worker that can't even boot is an environment failure, not any task's.
+MAX_BOOT_FAILURES = 3
+
+
 # -- worker process side ------------------------------------------------------
 
 _READY = "ready"
@@ -136,7 +163,7 @@ _STOP = "stop"
 
 def _worker_main(conn, worker_fn, initializer, initargs) -> None:
     """Worker process loop: warm boot, signal readiness, then serve one
-    shard at a time (strict request/response over ``conn``)."""
+    task at a time (strict request/response over ``conn``)."""
     try:
         if initializer is not None:
             initializer(*initargs)
@@ -154,7 +181,7 @@ def _worker_main(conn, worker_fn, initializer, initargs) -> None:
             except (EOFError, OSError):
                 break
             except Exception as exc:
-                # The result didn't pickle; the shard still gets an answer.
+                # The result didn't pickle; the task still gets an answer.
                 # (Connection.send pickles before writing, so the stream is
                 # still clean when it raises.)
                 conn.send((_ERR, describe_error(exc)))
@@ -169,10 +196,10 @@ def _worker_main(conn, worker_fn, initializer, initargs) -> None:
 
 # -- parent side --------------------------------------------------------------
 
-class _PoolWorker:
-    """Parent-side handle for one persistent worker process."""
+class _Worker:
+    """Parent-side handle for one worker process and its duplex pipe."""
 
-    __slots__ = ("process", "conn", "ready", "shard_index", "deadline")
+    __slots__ = ("process", "conn")
 
     def __init__(self, ctx, worker_fn, initializer, initargs) -> None:
         self.conn, child_conn = ctx.Pipe(duplex=True)
@@ -182,32 +209,16 @@ class _PoolWorker:
             daemon=True)
         self.process.start()
         child_conn.close()
-        self.ready = False
-        #: Index of the in-flight shard, or None when idle.
-        self.shard_index: int | None = None
-        #: Monotonic deadline of the in-flight shard (None = unbounded).
-        self.deadline: float | None = None
 
-    @property
-    def idle(self) -> bool:
-        return self.ready and self.shard_index is None
-
-    def dispatch(self, index: int, payload: Any,
-                 timeout: float | None) -> None:
-        """Hand one shard to this (idle) worker.  The worker is blocked on
-        ``recv``, so the send time *is* the shard's execution start — the
-        deadline clock anchors here, not at submission or harvest."""
-        self.conn.send((_TASK, payload))
-        self.shard_index = index
-        self.deadline = (time.monotonic() + timeout
-                         if timeout is not None else None)
-
-    def retire(self) -> None:
-        """Ask an idle worker to exit (best effort)."""
-        try:
-            self.conn.send((_STOP, None))
-        except (EOFError, OSError):
-            pass
+    def reply(self, timeout: float | None) -> tuple | None:
+        """The worker's next message, or None if ``timeout`` expires first;
+        ``EOFError`` if the worker died (its sentinel is watched too)."""
+        if not _wait_on([self.conn, self.process.sentinel], timeout):
+            return None
+        # A worker that answered and then died delivered its answer.
+        if not self.conn.poll(0):
+            raise EOFError("worker exited")
+        return self.conn.recv()
 
     def kill(self) -> None:
         """Tear down a wedged or dead worker immediately."""
@@ -223,139 +234,236 @@ class _PoolWorker:
             self.process.join(timeout=2.0)
 
 
-class _WorkerPool:
-    """A fixed-size pool of persistent workers with direct dispatch.
+class WorkerPool:
+    """A fixed-size pool of supervised, persistent worker processes that
+    run the module-level ``worker_fn`` on each payload.
 
-    The parent tracks exactly which worker holds which shard, so timeout
-    and crash blame are per-worker, and repair replaces only the killed
-    member — surviving workers keep their warm state.
+    ``execute`` is blocking and thread-safe: each call claims one idle
+    worker, preferring ``hash(affinity) % size`` when that one is idle.
+    ``initializer(*initargs)`` runs in each worker before its handshake;
+    ``on_boot`` is a parent-side callable returning a payload (or None)
+    that every freshly booted worker, initial or replacement, runs before
+    it turns idle.
     """
 
-    #: Consecutive exits during warm-up tolerated before giving up; a
-    #: worker that can't even boot is an environment failure, not any
-    #: shard's fault.
-    MAX_BOOT_FAILURES = 3
+    #: Seconds a worker may take to boot (initializer + ``on_boot``).
+    BOOT_TIMEOUT = 120.0
 
-    #: A worker died while holding a shard.
-    DIED = "died"
-    #: A worker blew through its shard's deadline and was killed.
-    DEADLINE = "deadline"
-
-    def __init__(self, size: int, worker_fn, initializer, initargs,
-                 start_method: str) -> None:
-        self._ctx = multiprocessing.get_context(start_method)
-        self._spawn_args = (worker_fn, initializer, initargs)
-        self._size = size
-        self._members: list[_PoolWorker] = []
+    def __init__(self, size: int, worker_fn: Callable[[Any], Any],
+                 initializer: Callable[..., None] | None = None,
+                 initargs: Sequence[Any] = (),
+                 start_method: str | None = None,
+                 on_boot: Callable[[], Any] | None = None) -> None:
+        if size < 1:
+            raise ValueError("workers must be positive")
+        self.size = size
+        self._ctx = multiprocessing.get_context(
+            start_method or pool_start_method())
+        self._spawn_args = (worker_fn, initializer, tuple(initargs))
+        self._on_boot = on_boot
+        self._cond = threading.Condition()
+        self._slots: list[_Worker | None] = [None] * size
+        self._idle: set[int] = set()
         self._boot_failures = 0
+        self._started = False
+        self._closed = False
+        #: Workers killed and replaced so far (read under the pool lock).
+        self.restarts = 0
 
-    def repair(self, outstanding: int) -> None:
-        """Keep ``min(size, outstanding)`` workers alive — the initial
-        spawn and every replacement after a kill go through here."""
-        target = min(self._size, outstanding)
-        while len(self._members) < target:
-            self._members.append(_PoolWorker(self._ctx, *self._spawn_args))
+    # -- lifecycle ------------------------------------------------------------
 
-    def idle_workers(self) -> list[_PoolWorker]:
-        return [w for w in self._members if w.idle]
-
-    def wait(self) -> list[tuple]:
-        """Block until the next event: a worker message, a worker death, or
-        the nearest in-flight deadline.  Returns ``(kind, shard_index,
-        value)`` tuples for every shard-affecting event."""
-        now = time.monotonic()
-        deadlines = [w.deadline for w in self._members
-                     if w.shard_index is not None and w.deadline is not None]
-        timeout = max(0.0, min(deadlines) - now) if deadlines else None
-        by_conn = {w.conn: w for w in self._members}
-        by_sentinel = {w.process.sentinel: w for w in self._members}
-        fired = _wait_on(list(by_conn) + list(by_sentinel), timeout=timeout)
-
-        events: list[tuple] = []
-        dead: list[_PoolWorker] = []
-        # Messages first: a worker that answered and then died delivered a
-        # result, not a casualty.
-        for obj in fired:
-            worker = by_conn.get(obj)
-            if worker is None:
-                continue
-            if not self._receive(worker, events):
-                dead.append(worker)
-        for obj in fired:
-            worker = by_sentinel.get(obj)
-            if worker is not None and worker not in dead:
-                dead.append(worker)
-        for worker in dead:
-            self._bury(worker, events)
-        # Deadlines last: anything that finished in this batch is already
-        # settled and cannot be charged a timeout.
-        now = time.monotonic()
-        for worker in list(self._members):
-            if (worker.shard_index is not None and worker.deadline is not None
-                    and now >= worker.deadline):
-                index = worker.shard_index
-                self._discard(worker)
-                events.append((self.DEADLINE, index, None))
-        return events
+    def start(self) -> None:
+        """Boot every worker: all are spawned first, then each handshake is
+        awaited, so boots overlap.  Raises :class:`PoolBroken` (and closes
+        the pool) if workers keep dying during warm-up."""
+        if self._started:
+            return
+        spawned = [_Worker(self._ctx, *self._spawn_args)
+                   for _ in range(self.size)]
+        try:
+            for slot, worker in enumerate(spawned):
+                booted = self._boot(worker)
+                with self._cond:
+                    self._slots[slot] = booted
+                    self._idle.add(slot)
+                    self._cond.notify()
+        except BaseException:
+            for worker in spawned:
+                worker.kill()
+            self.close()
+            raise
+        self._started = True
 
     def close(self) -> None:
-        """Graceful stop for idle members, hard kill for the rest."""
-        for worker in self._members:
-            if worker.idle:
-                worker.retire()
+        """Stop idle workers gracefully and kill the rest."""
+        with self._cond:
+            self._closed = True
+            workers = [worker for worker in self._slots if worker is not None]
+            idle = [self._slots[slot] for slot in self._idle]
+            self._slots = [None] * self.size
+            self._idle.clear()
+            self._cond.notify_all()
+        for worker in idle:
+            try:
+                worker.conn.send((_STOP, None))
+            except (OSError, ValueError):
+                pass
         grace = time.monotonic() + 1.0
-        for worker in self._members:
+        for worker in idle:
             worker.process.join(timeout=max(0.0, grace - time.monotonic()))
-        for worker in self._members:
+        for worker in workers:
             worker.kill()
-        self._members = []
 
-    # -- internals ----------------------------------------------------------
+    # -- introspection --------------------------------------------------------
 
-    def _receive(self, worker: _PoolWorker, events: list) -> bool:
-        """Drain one message from a worker; False if the pipe is dead."""
+    def worker_pids(self) -> list[int | None]:
+        """Current pid per slot (None for a dead slot)."""
+        with self._cond:
+            return [worker.process.pid if worker is not None else None
+                    for worker in self._slots]
+
+    def alive(self) -> int:
+        with self._cond:
+            return sum(1 for worker in self._slots if worker is not None)
+
+    # -- execution ------------------------------------------------------------
+
+    def execute(self, payload: Any, timeout_s: float | None = None,
+                affinity: Any = None) -> Any:
+        """Run ``worker_fn(payload)`` on an idle worker; blocking.
+
+        Raises :class:`WorkerTaskError` (worker healthy),
+        :class:`WorkerCrash` / :class:`WorkerTimeout` (worker killed and
+        replaced in place), or :class:`PoolBroken` (closed / no live
+        workers).  The deadline anchors at dispatch: waiting for an idle
+        worker does not consume the task's execution budget.
+        """
+        slot, worker = self._acquire(affinity)
+        pid = worker.process.pid
+        healthy = True
         try:
-            kind, value = worker.conn.recv()
+            try:
+                worker.conn.send((_TASK, payload))
+            except OSError as exc:
+                healthy = False
+                raise WorkerCrash(
+                    f"worker {pid} pipe failed: {exc}") from exc
+            except Exception as exc:
+                # The payload didn't pickle — that is this task's fault,
+                # not the worker's; the worker stays idle and alive.
+                raise WorkerTaskError(describe_error(exc)) from exc
+            try:
+                message = worker.reply(timeout_s)
+            except (EOFError, OSError) as exc:
+                healthy = False
+                worker.kill()
+                raise WorkerCrash(
+                    f"worker {pid} crashed mid-task "
+                    f"(exit code {worker.process.exitcode})") from exc
+            if message is None:
+                healthy = False
+                raise WorkerTimeout(
+                    f"execution exceeded {timeout_s:g}s; worker {pid} "
+                    f"killed and replaced")
+            kind, value = message
+            if kind == _ERR:
+                raise WorkerTaskError(value)
+            return value
+        finally:
+            if healthy:
+                self._checkin(slot)
+            else:
+                self._replace(slot, worker)
+
+    # -- internals ------------------------------------------------------------
+
+    def _boot(self, worker: _Worker | None = None) -> _Worker:
+        """Handshake ``worker`` (or a fresh spawn), respawning until one
+        boots; :data:`MAX_BOOT_FAILURES` consecutive deaths raise."""
+        while True:
+            if worker is None:
+                worker = _Worker(self._ctx, *self._spawn_args)
+            if self._handshake(worker):
+                with self._cond:
+                    self._boot_failures = 0
+                return worker
+            worker.kill()
+            worker = None
+            with self._cond:
+                self._boot_failures += 1
+                failures = self._boot_failures
+            if failures >= MAX_BOOT_FAILURES:
+                raise PoolBroken(
+                    f"worker pool failed to boot: {failures} workers in a "
+                    f"row died during warm-up (crashing initializer?)")
+
+    def _handshake(self, worker: _Worker) -> bool:
+        """Wait for readiness, then run the ``on_boot`` payload, if any."""
+        try:
+            message = worker.reply(self.BOOT_TIMEOUT)
+            if message is None or message[0] != _READY:
+                return False
+            payload = self._on_boot() if self._on_boot is not None else None
+            if payload is None:
+                return True
+            worker.conn.send((_TASK, payload))
+            message = worker.reply(self.BOOT_TIMEOUT)
+            return message is not None and message[0] == _OK
         except (EOFError, OSError):
             return False
-        if kind == _READY:
-            worker.ready = True
-            self._boot_failures = 0
-        else:
-            index = worker.shard_index
-            worker.shard_index = None
-            worker.deadline = None
-            events.append((kind, index, value))
-        return True
 
-    def _bury(self, worker: _PoolWorker, events: list) -> None:
-        """A worker process died: blame its in-flight shard (if any),
-        count a boot failure if it never became ready, and discard it —
-        ``repair`` will spawn the replacement."""
-        # A final answer may still be buffered on the pipe; harvesting it
-        # converts "crash" into a delivered result.
-        try:
-            while worker.conn.poll(0):
-                if not self._receive(worker, events):
-                    break
-        except (EOFError, OSError):
-            pass
-        index = worker.shard_index
-        became_ready = worker.ready
-        self._discard(worker)
-        if index is not None:
-            events.append((self.DIED, index, None))
-        elif not became_ready:
-            self._boot_failures += 1
-            if self._boot_failures >= self.MAX_BOOT_FAILURES:
-                raise RuntimeError(
-                    "worker pool failed to boot: workers keep exiting "
-                    "during warm-up (crashing initializer?)")
+    def _acquire(self, affinity: Any) -> tuple[int, _Worker]:
+        with self._cond:
+            while True:
+                if self._closed:
+                    raise PoolBroken("worker pool is closed")
+                if (self._started
+                        and all(worker is None for worker in self._slots)):
+                    raise PoolBroken("no live workers remain")
+                if self._idle:
+                    preferred = (hash(affinity) % self.size
+                                 if affinity is not None else None)
+                    slot = (preferred if preferred in self._idle
+                            else min(self._idle))
+                    self._idle.remove(slot)
+                    worker = self._slots[slot]
+                    assert worker is not None
+                    return slot, worker
+                self._cond.wait(timeout=1.0)
 
-    def _discard(self, worker: _PoolWorker) -> None:
-        if worker in self._members:
-            self._members.remove(worker)
+    def _checkin(self, slot: int) -> None:
+        with self._cond:
+            if not self._closed and self._slots[slot] is not None:
+                self._idle.add(slot)
+                self._cond.notify()
+
+    def _replace(self, slot: int, worker: _Worker) -> None:
+        """Kill a wedged/dead worker and boot a replacement into its slot.
+
+        The pool is repaired, never rebuilt: only this slot changes, the
+        other workers keep running (and keep their warm caches).  If the
+        replacement cannot boot, the slot is marked dead rather than
+        raising — the original task's failure is the caller's error.
+        """
         worker.kill()
+        with self._cond:
+            self.restarts += 1
+            if self._closed:
+                return
+        try:
+            replacement = self._boot()
+        except PoolBroken:
+            with self._cond:
+                self._slots[slot] = None
+                self._cond.notify_all()
+            return
+        with self._cond:
+            if not self._closed:
+                self._slots[slot] = replacement
+                self._idle.add(slot)
+                self._cond.notify()
+                return
+        replacement.kill()
 
 
 class ShardRunner:
@@ -436,54 +544,62 @@ class ShardRunner:
     # -- pooled path --------------------------------------------------------
 
     def _run_pooled(self, worker, shards: list[Shard]) -> list[ShardOutcome]:
+        """One dispatcher thread per pool worker, all pulling shard indices
+        from one shared queue."""
         outcomes: dict[int, ShardOutcome] = {}
         attempts = [0] * len(shards)
         pending = deque(range(len(shards)))
-        pool = _WorkerPool(min(self.workers, len(shards)), worker,
-                           self.initializer, self.initargs,
-                           self.start_method)
+        errors: list[BaseException] = []
+        size = min(self.workers, len(shards))
+        pool = WorkerPool(size, worker, self.initializer, self.initargs,
+                          self.start_method)
         try:
-            while len(outcomes) < len(shards):
-                pool.repair(outstanding=len(shards) - len(outcomes))
-                self._dispatch(pool, worker_shards=shards, pending=pending,
-                               attempts=attempts, outcomes=outcomes)
-                for kind, index, value in pool.wait():
-                    if kind == _OK:
-                        outcomes[index] = ShardOutcome(
-                            key=shards[index].key, value=value,
-                            attempts=attempts[index])
-                    elif kind == _ERR:
-                        self._settle(index, shards, attempts, outcomes,
-                                     pending, value)
-                    elif kind == _WorkerPool.DIED:
-                        self._settle(index, shards, attempts, outcomes,
-                                     pending, "worker process crashed")
-                    elif kind == _WorkerPool.DEADLINE:
-                        budget = self._budget(shards[index])
-                        self._settle(index, shards, attempts, outcomes,
-                                     pending,
-                                     f"timed out after {budget:g}s")
+            pool.start()
+            threads = [threading.Thread(
+                target=self._dispatch_loop,
+                args=(pool, shards, pending, attempts, outcomes, errors),
+                daemon=True) for _ in range(size)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
         finally:
             pool.close()
+        if errors:
+            raise errors[0]
         return [outcomes[i] for i in range(len(shards))]
 
-    def _dispatch(self, pool: _WorkerPool, worker_shards: list[Shard],
-                  pending: deque, attempts: list[int],
-                  outcomes: dict[int, ShardOutcome]) -> None:
-        """Hand pending shards to every ready idle worker."""
-        for worker in pool.idle_workers():
-            if not pending:
-                break
-            index = pending.popleft()
-            attempts[index] += 1
-            try:
-                worker.dispatch(index, worker_shards[index].payload,
-                                self._budget(worker_shards[index]))
-            except Exception as exc:
-                # The payload didn't pickle — that is this shard's fault,
-                # not the worker's; the worker stays idle and alive.
-                self._settle(index, worker_shards, attempts, outcomes,
-                             pending, describe_error(exc))
+    def _dispatch_loop(self, pool: WorkerPool, shards: list[Shard],
+                       pending: deque, attempts: list[int],
+                       outcomes: dict[int, ShardOutcome],
+                       errors: list[BaseException]) -> None:
+        """Run pending shards until the queue is empty; a thread that
+        re-queues a retry loops back for it, so none is stranded."""
+        try:
+            while True:
+                try:
+                    index = pending.popleft()
+                except IndexError:
+                    return
+                shard = shards[index]
+                budget = self._budget(shard)
+                attempts[index] += 1
+                try:
+                    value = pool.execute(shard.payload, timeout_s=budget)
+                except WorkerCrash:
+                    error = "worker process crashed"
+                except WorkerTimeout:
+                    error = f"timed out after {budget:g}s"
+                except WorkerTaskError as exc:
+                    error = str(exc)
+                else:
+                    outcomes[index] = ShardOutcome(
+                        key=shard.key, value=value, attempts=attempts[index])
+                    continue
+                self._settle(index, shards, attempts, outcomes, pending,
+                             error)
+        except BaseException as exc:
+            errors.append(exc)
 
     def _budget(self, shard: Shard) -> float | None:
         return (shard.timeout if shard.timeout is not None

@@ -10,9 +10,11 @@ configuration cache, many concurrent offload streams:
   CPU-baseline degradation, idempotent dedupe, and a choice of
   thread-pool or supervised multi-process execution;
 * :class:`ControllerPool` — one shared controller per chip/backend;
-* :class:`ProcessWorkerPool` / :class:`CircuitBreaker` — the supervised
-  worker processes behind ``execution="process"``: crash isolation,
-  deadline kills, in-place replacement, warm seeding;
+* :class:`ProcessWorkerPool` / :class:`CircuitBreaker` — the worker
+  processes behind ``execution="process"``: the service's request
+  handler bound to the harness's process supervisor
+  (:class:`repro.harness.parallel.WorkerPool` — crash isolation, deadline
+  kills, in-place replacement), plus warm seeding from the region store;
 * :class:`RegionStore` / :func:`save_snapshot` / :func:`load_snapshot` —
   config-cache persistence: versioned on-disk snapshots, tolerant
   restore;

@@ -83,6 +83,8 @@ from .procpool import (
     WorkerCrash,
     WorkerTaskError,
     WorkerTimeout,
+    cpu_baseline_summary,
+    result_summary,
 )
 
 __all__ = ["AdmissionError", "OffloadRequest", "OffloadResponse",
@@ -693,12 +695,12 @@ class MesaService:
                            if self._breaker is not None else None)
         start = time.perf_counter()
         try:
-            if degraded_reason is not None:
-                summary = await self._dispatch_degraded(job)
+            summary = await self._dispatch(
+                job, key, degraded=degraded_reason is not None)
+            if degraded_reason is not None and \
+                    summary["status"] == "completed":
                 summary["status"] = "degraded"
                 summary["reason"] = degraded_reason
-            else:
-                summary = await self._dispatch(job, key)
         except asyncio.CancelledError:
             raise
         except Exception as exc:
@@ -770,24 +772,29 @@ class MesaService:
             job.index, job.request.kernel or job.request.label)
         return fault, getattr(self.fault_plan, "hang_s", 30.0)
 
-    async def _dispatch(self, job: _Job, key: tuple | None) -> dict:
+    async def _dispatch(self, job: _Job, key: tuple | None,
+                        degraded: bool) -> dict:
+        """Run the fabric pipeline (or, ``degraded``, the CPU baseline);
+        the summary's status is completed, timeout or failed."""
         remaining = self._remaining(job)
         if remaining is not None and remaining <= 0.0:
             return {"status": "timeout",
                     "reason": "deadline expired before dispatch"}
         if self._procpool is not None and job.request.kernel:
-            return await self._dispatch_process(job, key, remaining)
-        return await self._dispatch_thread(job, remaining)
+            return await self._dispatch_process(job, key, remaining,
+                                                degraded)
+        return await self._dispatch_thread(job, remaining, degraded)
 
     async def _dispatch_process(self, job: _Job, key: tuple | None,
-                                remaining: float | None) -> dict:
+                                remaining: float | None,
+                                degraded: bool) -> dict:
         request = job.request
         payload = {"kernel": request.kernel,
                    "iterations": request.iterations,
                    "config": request.config,
                    "parallelizable": request.parallelizable,
-                   "mode": "mesa"}
-        fault, hang_s = self._planned_fault(job)
+                   "mode": "cpu" if degraded else "mesa"}
+        fault, hang_s = (None, 0.0) if degraded else self._planned_fault(job)
         if fault is not None:
             payload["fault"] = fault
             payload["hang_s"] = hang_s
@@ -815,16 +822,19 @@ class MesaService:
             self._store.add_many(new_regions)
         return summary
 
-    async def _dispatch_thread(self, job: _Job,
-                               remaining: float | None) -> dict:
+    async def _dispatch_thread(self, job: _Job, remaining: float | None,
+                               degraded: bool) -> dict:
         request = job.request
-        controller = self.pool.controller(request.config)
-        fault, hang_s = self._planned_fault(job)
+        if degraded:
+            call = partial(cpu_baseline_summary, request.program,
+                           request.state_factory, self.pool.cpu_config)
+        else:
+            fault, hang_s = self._planned_fault(job)
+            call = partial(self._thread_execute,
+                           self.pool.controller(request.config), request,
+                           fault, hang_s)
         loop = asyncio.get_running_loop()
-        future = loop.run_in_executor(
-            self._executor,
-            partial(self._thread_execute, controller, request, fault,
-                    hang_s))
+        future = loop.run_in_executor(self._executor, call)
         done, pending = await asyncio.wait({future}, timeout=remaining)
         if pending:
             # Threads cannot be killed: detach the executor thread (its
@@ -834,61 +844,29 @@ class MesaService:
                     "reason": f"execution exceeded {remaining:.3f}s budget "
                               f"(executor thread detached)"}
         try:
-            result = future.result()
+            summary = future.result()
         except Exception as exc:
             return {"status": "failed",
                     "reason": f"{type(exc).__name__}: {exc}"}
-        return {"status": "completed",
-                "accelerated": result.accelerated,
-                "cache_hit": result.config_cache_hit,
-                "reason": result.reason,
-                "speedup": result.speedup_vs_single_core,
-                "total_cycles": result.total_cycles,
-                "phase_seconds": dict(result.phase_seconds)}
+        summary["status"] = "completed"
+        return summary
 
     @staticmethod
     def _thread_execute(controller: MesaController,
                         request: OffloadRequest, fault: str | None,
-                        hang_s: float):
+                        hang_s: float) -> dict:
         if fault == "crash":
             raise RuntimeError("injected crash (thread backend)")
         if fault == "hang":
             time.sleep(hang_s)
-        return controller.execute(request.program, request.state_factory,
-                                  parallelizable=request.parallelizable)
+        return result_summary(controller.execute(
+            request.program, request.state_factory,
+            parallelizable=request.parallelizable))
 
     @staticmethod
     def _swallow(future) -> None:
         if not future.cancelled():
             future.exception()
-
-    async def _dispatch_degraded(self, job: _Job) -> dict:
-        """The circuit breaker's fallback: a CPU-baseline execution."""
-        request = job.request
-        loop = asyncio.get_running_loop()
-        if self._procpool is not None and request.kernel:
-            payload = {"kernel": request.kernel,
-                       "iterations": request.iterations,
-                       "config": request.config, "mode": "cpu"}
-            return await loop.run_in_executor(
-                self._executor,
-                partial(self._procpool.execute, payload,
-                        timeout_s=self._remaining(job)))
-        return await loop.run_in_executor(
-            self._executor, partial(self._thread_cpu_baseline, request))
-
-    def _thread_cpu_baseline(self, request: OffloadRequest) -> dict:
-        from ..cpu import OutOfOrderCore, collect_trace
-        from ..mem import MemoryHierarchy
-
-        config = (self.pool.cpu_config if self.pool.cpu_config is not None
-                  else CpuConfig())
-        trace = collect_trace(request.program, request.state_factory())
-        core = OutOfOrderCore(config,
-                              MemoryHierarchy(config.memory)).run(trace)
-        return {"accelerated": False, "cache_hit": False,
-                "reason": "cpu baseline", "speedup": 1.0,
-                "total_cycles": float(core.cycles), "phase_seconds": {}}
 
     def _finish(self, job: _Job, response: OffloadResponse) -> None:
         if job.future.cancelled():

@@ -1,7 +1,9 @@
 """Tests for the process-parallel shard runner."""
 
 import os
+import sys
 import tempfile
+import threading
 import time
 
 import pytest
@@ -91,6 +93,30 @@ def _read_boot_token(payload):
 
 def _boot_crash():
     raise RuntimeError("initializer is broken")
+
+
+def _log_boot(directory):
+    """Warm-boot initializer that records each worker boot as a file."""
+    open(os.path.join(directory, f"boot-{os.getpid()}"), "w").close()
+
+def _unpicklable_result(directory):
+    """Record which worker ran this attempt, then return a result that
+    cannot cross the pipe."""
+    handle, _path = tempfile.mkstemp(prefix=f"ran-{os.getpid()}-",
+                                     dir=directory)
+    os.close(handle)
+    return threading.Lock()
+
+def _square_unless_triple(value):
+    """Raise for multiples of three (a shard that always fails)."""
+    if value % 3 == 0:
+        raise ValueError(f"bad shard {value}")
+    return value * value
+
+def _pids(directory, prefix):
+    """Worker pids recorded under ``prefix`` (``boot-`` or ``ran-``)."""
+    return {name.split("-")[1] for name in os.listdir(directory)
+            if name.startswith(prefix)}
 
 
 def _shards(payloads):
@@ -337,6 +363,67 @@ class TestDeadlineWatchdog:
         assert outcomes[0].value == 9, "override grants the longer budget"
         assert outcomes[1].failed
         assert "timed out after 0.4s" in outcomes[1].error
+
+
+class TestPicklingContract:
+    """A shard whose payload or result does not pickle fails alone: it
+    degrades with the pickling error once its attempts are spent, and the
+    worker that served it is never replaced."""
+
+    def test_unpicklable_result_is_a_task_error(self, tmp_path):
+        directory = str(tmp_path)
+        outcomes = ShardRunner(
+            workers=2, retries=1, initializer=_log_boot,
+            initargs=(directory,)).map(
+                _unpicklable_result, [Shard(key=(0,), payload=directory)])
+        assert outcomes[0].failed
+        assert "pickle" in outcomes[0].error
+        assert outcomes[0].attempts == 2, "the retry was charged"
+        boots = _pids(directory, "boot-")
+        assert len(boots) == 1, "the worker was never replaced"
+        assert _pids(directory, "ran-") == boots, \
+            "both attempts ran on the one original worker"
+
+    def test_unpicklable_payload_fails_only_its_shard(self, tmp_path):
+        directory = str(tmp_path)
+        shards = [Shard(key=(0,), payload=("square", 3)),
+                  Shard(key=(1,), payload=threading.Lock()),
+                  Shard(key=(2,), payload=("square", 4)),
+                  Shard(key=(3,), payload=("square", 5))]
+        outcomes = ShardRunner(
+            workers=2, retries=1, initializer=_log_boot,
+            initargs=(directory,)).map(_behave, shards)
+        assert [outcomes[i].value for i in (0, 2, 3)] == [9, 16, 25]
+        assert outcomes[1].failed
+        assert "pickle" in outcomes[1].error
+        assert outcomes[1].attempts == 2, "the retry was charged"
+        assert len(_pids(directory, "boot-")) == 2, \
+            "no worker was replaced"
+
+
+class TestDispatcherThreads:
+    def test_shared_queue_settles_every_shard_once(self):
+        """More dispatcher threads than cores and a short switch interval:
+        each shard settles exactly once and is charged only its own
+        attempts, including retries re-queued while siblings exit."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            start = time.monotonic()
+            outcomes = ShardRunner(workers=4, retries=2).map(
+                _square_unless_triple, _shards(list(range(1, 49))))
+            elapsed = time.monotonic() - start
+        finally:
+            sys.setswitchinterval(interval)
+        assert [o.key for o in outcomes] == [(i,) for i in range(48)]
+        for value, outcome in enumerate(outcomes, start=1):
+            if value % 3 == 0:
+                assert outcome.failed and outcome.attempts == 3
+                assert f"bad shard {value}" in outcome.error
+            else:
+                assert outcome.value == value * value
+                assert outcome.attempts == 1
+        assert elapsed < 60.0
 
 
 class TestRunSharded:

@@ -442,6 +442,32 @@ class TestDeadlines:
         assert stats.timed_out == 1
 
 
+class TestDegradedProcessDispatch:
+    """Regression: a circuit-broken request on the process backend goes
+    through the same failure-to-status mapping as a normal one."""
+
+    def test_degraded_timeout_is_reported_as_timeout(self):
+        async def scenario():
+            service = MesaService(execution="process", workers=1,
+                                  breaker_threshold=1)
+            await service.start()
+            request = OffloadRequest.for_kernel("lud", iterations=512)
+            # The first request blows its budget, which opens the circuit.
+            first = await service.offload(request, timeout_s=0.05)
+            # The second is served the CPU baseline, which blows it too.
+            second = await service.offload(request, timeout_s=0.05)
+            stats = service.stats()
+            pool = service.process_stats()
+            await service.close()
+            return first, second, stats, pool
+
+        first, second, stats, pool = asyncio.run(scenario())
+        assert first.status == "timeout"
+        assert second.status == "timeout"
+        assert stats.timed_out == 2 and stats.failed == 0
+        assert stats.worker_restarts == pool["restarts"]
+
+
 class TestDedupe:
     def test_identical_keys_execute_once(self):
         async def scenario():
